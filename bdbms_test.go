@@ -237,8 +237,8 @@ func TestQueryContextCancelFacade(t *testing.T) {
 	}
 }
 
-// TestConcurrentSessions is the stress test of the engine-wide session
-// lock: parallel streaming readers and one writer run against the same DB.
+// TestConcurrentSessions is the stress test of concurrent sessions: parallel
+// streaming snapshot readers and one latching writer run against the same DB.
 // It must pass under -race (CI runs the test step with -race).
 func TestConcurrentSessions(t *testing.T) {
 	db := Open()

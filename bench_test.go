@@ -1121,19 +1121,27 @@ func BenchmarkGroupBySpill(b *testing.B) {
 // 100k-row full scan — the pure scan->filter->agg shape the vectorized batch
 // pipeline targets: columnar chunks, a typed comparison kernel narrowing the
 // selection vector, and batch-at-a-time group consumption, against the same
-// plan run row at a time.
+// plan run row at a time. interleaved-write runs the vectorized query with a
+// single-row UPDATE (timed) before each query, so every query reads a mirror
+// that was maintained through a write.
 func BenchmarkFullScanAggregate(b *testing.B) {
 	db := Open()
 	defer db.Close()
 	loadEventTable(b, db, 100000)
 	query := `SELECT COUNT(*), SUM(Score), MIN(Score), MAX(Score) FROM Events WHERE Score < 50000`
-	for _, path := range []string{"vectorized", "row-at-a-time"} {
+	for _, path := range []string{"vectorized", "row-at-a-time", "interleaved-write"} {
 		b.Run(path, func(b *testing.B) {
 			s := db.Session("admin")
 			s.NoVectorize = path == "row-at-a-time"
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if path == "interleaved-write" {
+					id := (i * 7919) % 100000
+					if _, err := s.Exec(fmt.Sprintf(`UPDATE Events SET Score = %d WHERE ID = %d`, i%100003, id)); err != nil {
+						b.Fatal(err)
+					}
+				}
 				res, err := s.Exec(query)
 				if err != nil {
 					b.Fatal(err)

@@ -416,8 +416,9 @@ func (m *Manager) SetLogger(l Logger) { m.logger = l }
 
 // SetUndo installs (or, with nil, clears) the open transaction's undo log:
 // while installed, every annotation mutation pushes a compensating closure.
-// Like the storage engine's hook, it is only touched under the engine-wide
-// exclusive statement lock.
+// Like the storage engine's hook, it is only touched by the writer holding
+// the ScopeWAL latch, which serializes write frames
+// (internal/storage/lock.go).
 func (m *Manager) SetUndo(u *undo.Log) { m.undo = u }
 
 // pushUndo records a compensating action when a transaction is open.

@@ -146,8 +146,8 @@ type Manager struct {
 // SetUndo installs (or, with nil, clears) the open transaction's undo log:
 // recorded approval operations and approval decisions then push their
 // inverse, so rolling back a monitored DML statement also retracts its
-// pending-operation entry. Only touched under the engine-wide exclusive
-// statement lock.
+// pending-operation entry. Only touched by the writer holding the ScopeWAL
+// latch, which serializes write frames (internal/storage/lock.go).
 func (m *Manager) SetUndo(u *undo.Log) { m.undo = u }
 
 // NewManager builds an authorization manager over the storage engine. The

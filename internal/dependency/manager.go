@@ -58,8 +58,9 @@ func NewManager(eng *storage.Engine) *Manager {
 func (m *Manager) SetLogger(l Logger) { m.logger = l }
 
 // SetUndo installs (or, with nil, clears) the open transaction's undo log;
-// bitmap transitions then push their inverse. Only touched under the
-// engine-wide exclusive statement lock.
+// bitmap transitions then push their inverse. Only touched by the writer
+// holding the ScopeWAL latch, which serializes write frames
+// (internal/storage/lock.go).
 func (m *Manager) SetUndo(u *undo.Log) { m.undo = u }
 
 // markRecord is the WAL payload of one outdated-bitmap transition.

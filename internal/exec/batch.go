@@ -14,8 +14,10 @@ package exec
 // untouched. Grouped aggregation additionally consumes batches directly when
 // no decoration work intervenes (group.go).
 //
-// The planner falls back to the row scan transparently whenever batching
-// does not apply — see tryBatchScan for the exact rules.
+// A snapshot's single-source full scan always runs batched while the table
+// has a mirror; tryBatchScan lists the exact rules. Snapshot reads fold the
+// MVCC overlay into the chunks they touch, so the mirror serves reads under
+// concurrent writes too.
 
 import (
 	"context"
@@ -26,10 +28,11 @@ import (
 	"bdbms/internal/value"
 )
 
-// batchScans counts scans that actually ran vectorized; the equivalence
-// fuzzer asserts it moved, so the batched path cannot silently stop being
-// exercised.
-var batchScans atomic.Int64
+// batchScans counts scans that actually ran vectorized, and overlayScans
+// those among them whose snapshot read some chunk through its MVCC overlay;
+// the equivalence fuzzers assert they moved, so neither path can silently
+// stop being exercised.
+var batchScans, overlayScans atomic.Int64
 
 // bvec is the executor's view of one chunk column: the storage vector with
 // dictionary codes and validity expanded into flat byte vectors.
@@ -119,7 +122,7 @@ func (b *batch) rowValues(i int32) value.Row {
 type batchScanIter struct {
 	ctx      context.Context
 	src      *sourcePlan
-	cd       *storage.ColData
+	cs       *storage.ColScan
 	kernels  []kernelPred
 	rowPreds []compiledPred
 	params   value.Row
@@ -138,13 +141,17 @@ type batchScanIter struct {
 
 // nextBatch returns the next non-empty batch of surviving rows.
 func (it *batchScanIter) nextBatch() (*batch, bool, error) {
-	for it.ci < len(it.cd.Chunks) {
+	for it.ci < it.cs.NumChunks() {
 		if err := it.ctx.Err(); err != nil {
 			return nil, false, err
 		}
-		chunk := it.cd.Chunks[it.ci]
+		ci := it.ci
 		it.ci++
 		if it.never {
+			continue
+		}
+		chunk := it.cs.Chunk(ci)
+		if chunk.Rows() == 0 {
 			continue
 		}
 		it.loadChunk(chunk)
@@ -254,31 +261,34 @@ func (it *batchScanIter) applyRowPreds(sel []int32) ([]int32, error) {
 }
 
 // tryBatchScan decides whether the plan's single source can run vectorized
-// and builds the batch scan when it can. The fallback rules, checked here in
-// order:
+// and builds the batch scan when it can. It runs batched exactly when:
 //
-//   - the session has not disabled vectorization (NoVectorize);
+//   - the session has not disabled vectorization (NoVectorize, a test
+//     switch);
 //   - the query runs under an MVCC snapshot (cursors inside explicit
 //     transactions read the live heap and stay on the row path);
 //   - the source is a full scan (index probes produce row subsets);
-//   - the table has a columnar mirror (small enough, no build error);
-//   - the snapshot sees the current heap for the table AND the mirror is
-//     still current — the two-sided handshake described in
-//     internal/storage/columnar.go.
+//   - the table has a columnar mirror (small enough, no build error).
 //
-// Pushed predicates never block batching: constant comparisons on
-// INT/FLOAT/TEXT/SEQUENCE columns become typed kernels, everything else
-// evaluates row-wise per batch with identical semantics.
+// The snapshot's overlay never blocks batching: storage.ColScan rewrites the
+// chunks it touches, so the batches hold exactly the rows, values and order
+// of the snapshot's row scan. Pushed predicates never block batching either:
+// constant comparisons on INT/FLOAT/TEXT/SEQUENCE columns become typed
+// kernels, everything else evaluates row-wise per batch with identical
+// semantics.
 func (s *Session) tryBatchScan(ctx context.Context, src *sourcePlan, params value.Row, snap *storage.Snapshot) *batchScanIter {
 	if s.NoVectorize || snap == nil || src.access.kind != accessFullScan {
 		return nil
 	}
-	cd := src.tbl.ColumnarData()
-	if cd == nil || !snap.SeesCurrentHeap(src.tbl) || cd.WriteSeq != src.tbl.WriteSeq() {
+	cs := snap.ColumnarScan(src.tbl)
+	if cs == nil {
 		return nil
 	}
 	batchScans.Add(1)
-	it := &batchScanIter{ctx: ctx, src: src, cd: cd, params: params}
+	if cs.Overlaid() {
+		overlayScans.Add(1)
+	}
+	it := &batchScanIter{ctx: ctx, src: src, cs: cs, params: params}
 	schema := src.tbl.Schema()
 	for _, p := range src.preds {
 		k, kind := compileKernel(s, p, src, schema, params)

@@ -648,15 +648,21 @@ func (s *Session) scanRowIDs(src *sourcePlan, params value.Row, snap *storage.Sn
 // bypasses the vectorized batch scan, which only reads in RowID order.
 func (s *Session) buildPipeline(ctx context.Context, plan *physicalPlan, bindings []binding, params value.Row, snap *storage.Snapshot, orderedIDs []int64) (rowIter, error) {
 	first := plan.sources[plan.execOrder()[0]]
+	var bs *batchScanIter
+	if orderedIDs == nil && len(plan.steps) == 0 {
+		// Single-source full scan under a snapshot: run vectorized. Joins
+		// are ruled out first, so they never build or refresh a mirror they
+		// would not read. The adapter emits the same rows (values, origins,
+		// order) the row scan would, so everything downstream is oblivious.
+		bs = s.tryBatchScan(ctx, first, params, snap)
+	}
 	var it rowIter
-	if orderedIDs != nil {
+	switch {
+	case orderedIDs != nil:
 		it = &scanIter{ctx: ctx, src: first, ids: orderedIDs, params: params, snap: snap}
-	} else if bs := s.tryBatchScan(ctx, first, params, snap); bs != nil && len(plan.steps) == 0 {
-		// Single-source full scan under a current snapshot: run vectorized.
-		// The adapter emits the same rows (values, origins, order) the row
-		// scan would, so everything downstream is oblivious.
+	case bs != nil:
 		it = &batchRowsIter{src: bs}
-	} else {
+	default:
 		ids, err := s.scanRowIDs(first, params, snap)
 		if err != nil {
 			return nil, err

@@ -122,11 +122,11 @@ func TestSkewedGroupBySpillTinyBudget(t *testing.T) {
 	}
 }
 
-// TestVectorizedFallsBackOnStaleMirror pins the MVCC handshake: a snapshot
-// opened before a write must not consume the rebuilt columnar mirror, and a
-// write between mirror build and query must invalidate the cache — both
-// cases fall back to the row scan and stay correct.
-func TestVectorizedFallsBackOnStaleMirror(t *testing.T) {
+// TestVectorizedSnapshotAcrossWrites pins batched reads under writes: a
+// cursor opened before a write keeps reading its snapshot's chunks, a query
+// after it reads the maintained mirror, and a snapshot behind an open
+// transaction's writes reads them through its overlay, still batched.
+func TestVectorizedSnapshotAcrossWrites(t *testing.T) {
 	s := newSession(t)
 	mustExec(t, s, `CREATE TABLE Ev (ID INT NOT NULL PRIMARY KEY, G TEXT, V INT)`)
 	for i := 1; i <= 10; i++ {
@@ -159,5 +159,50 @@ func TestVectorizedFallsBackOnStaleMirror(t *testing.T) {
 	res := execAll(t, s, `SELECT COUNT(*) FROM Ev`)
 	if got := res.Rows[0].Values[0].Int(); got != 9 {
 		t.Errorf("post-delete COUNT(*) = %d, want 9", got)
+	}
+
+	// Another session's open transaction deletes, updates and inserts; the
+	// snapshot reads fold those writes back out of the batches.
+	w := &Session{Eng: s.Eng, Ann: s.Ann, Dep: s.Dep, Auth: s.Auth, User: s.User}
+	for _, stmt := range []string{`BEGIN`, `DELETE FROM Ev WHERE ID = 2`, `UPDATE Ev SET V = 100 WHERE ID = 5`, `INSERT INTO Ev VALUES (11, 'g9', 11)`} {
+		mustExec(t, w, stmt)
+	}
+	batchScans.Store(0)
+	overlayScans.Store(0)
+	res = mustExec(t, s, `SELECT COUNT(*), SUM(V) FROM Ev`)
+	if got := res.Rows[0].Values[0].Int(); got != 9 {
+		t.Errorf("COUNT(*) behind an open transaction = %d, want 9", got)
+	}
+	if got := res.Rows[0].Values[1].Int(); got != 45 {
+		t.Errorf("SUM(V) behind an open transaction = %d, want 45", got)
+	}
+	if batchScans.Load() != 1 || overlayScans.Load() != 1 {
+		t.Errorf("batched scans %d, over an overlay %d; want 1 and 1", batchScans.Load(), overlayScans.Load())
+	}
+	mustExec(t, w, `ROLLBACK`)
+	res = execAll(t, s, `SELECT COUNT(*), SUM(V) FROM Ev`)
+	if got := res.Rows[0].Values[1].Int(); got != 45 {
+		t.Errorf("SUM(V) after rollback = %d, want 45", got)
+	}
+}
+
+// TestJoinLeavesBatchScansUnchanged pins that join queries, which run on the
+// row path, never ask for a batch scan — so they neither build nor refresh a
+// columnar mirror nobody reads.
+func TestJoinLeavesBatchScansUnchanged(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, `CREATE TABLE L (ID INT NOT NULL PRIMARY KEY, K INT)`)
+	mustExec(t, s, `CREATE TABLE R (ID INT NOT NULL PRIMARY KEY, K INT)`)
+	for i := 1; i <= 20; i++ {
+		mustExec(t, s, fmt.Sprintf(`INSERT INTO L VALUES (%d, %d)`, i, i%4))
+		mustExec(t, s, fmt.Sprintf(`INSERT INTO R VALUES (%d, %d)`, i, i%5))
+	}
+	batchScans.Store(0)
+	res := execAll(t, s, `SELECT L.ID, R.ID FROM L, R WHERE L.K = R.K`)
+	if len(res.Rows) == 0 {
+		t.Fatal("join returned no rows")
+	}
+	if n := batchScans.Load(); n != 0 {
+		t.Errorf("join bumped batchScans to %d, want 0", n)
 	}
 }

@@ -139,8 +139,9 @@ func (m *Manager) SetClock(clock func() time.Time) { m.clock = clock }
 func (m *Manager) SetLogger(l annotation.Logger) { m.logger = l }
 
 // SetUndo installs (or, with nil, clears) the open transaction's undo log;
-// agent (de)registrations then push their inverse. Only touched under the
-// engine-wide exclusive statement lock. Provenance attachments are
+// agent (de)registrations then push their inverse. Only touched by the
+// writer holding the ScopeWAL latch, which serializes write frames
+// (internal/storage/lock.go). Provenance attachments are
 // annotations and are covered by the annotation manager's hook.
 func (m *Manager) SetUndo(u *undo.Log) { m.undo = u }
 

@@ -17,7 +17,9 @@
 //   - Per-connection deadlines: a connection idle past IdleTimeout is told
 //     so and closed; a peer that stops reading its responses trips
 //     WriteTimeout. Either way the connection's cursors and transaction are
-//     released, so one dead client can never wedge the engine lock.
+//     released, so one dead client can never hold its table write latches
+//     and the serialized WAL frame (internal/storage/lock.go) forever, nor
+//     pin MVCC row versions (internal/storage/mvcc.go) with an open cursor.
 //   - Panic isolation: a panic while serving one connection tears down that
 //     connection only.
 //   - A connection limit: past MaxConns, new connections get a categorized

@@ -386,6 +386,23 @@ func (s *Snapshot) AugmentRowIDs(t *Table, ids []int64) []int64 {
 	return sortDedupeIDs(merged)
 }
 
+// SeesCurrentHeap reports whether the snapshot's view of the table is exactly
+// the current heap — i.e. its overlay is empty after folding in every version
+// entry. Data read from the live table (an index's ordered RowID list) is
+// then valid for the snapshot too.
+func (s *Snapshot) SeesCurrentHeap(t *Table) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	ov := s.overlayFor(t)
+	t.mu.RLock()
+	s.mergeLocked(ov, t)
+	t.mu.RUnlock()
+	return len(ov.rows) == 0
+}
+
 func sortDedupeIDs(ids []int64) []int64 {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	out := ids[:0]

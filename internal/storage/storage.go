@@ -319,12 +319,13 @@ type Table struct {
 	versionsBase uint64
 	versionsDead int
 
-	// writeSeq counts heap mutations of this table; the columnar scan cache
-	// (columnar.go) is tagged with the count at build time and discarded the
-	// moment it no longer matches. colMu serializes cache builds so two
-	// concurrent analytic queries don't both pay the O(rows) construction.
+	// writeSeq counts heap mutations of this table. mirror is the columnar
+	// scan mirror (columnar.go), nil until a vectorized scan first asks for
+	// it and maintained by every mutation afterwards; colMu serializes its
+	// build so two concurrent analytic queries don't both pay the O(rows)
+	// construction.
 	writeSeq atomic.Uint64
-	colCache atomic.Pointer[ColData]
+	mirror   atomic.Pointer[colMirror]
 	colMu    sync.Mutex
 
 	// stats is the planner's statistics snapshot, guarded by mu. It is nil
@@ -334,17 +335,7 @@ type Table struct {
 	stats *stats.Table
 }
 
-// noteWrite invalidates the columnar scan cache after any heap mutation.
-// It is called from every path that changes stored rows (insert, update,
-// delete, and their recovery/undo appliers); writeSeq only ever advances, so
-// a cache tagged with an older count can never be mistaken for current.
-func (t *Table) noteWrite() {
-	t.writeSeq.Add(1)
-	t.colCache.Store(nil)
-}
-
-// WriteSeq exposes the mutation count so the executor can verify a columnar
-// chunk set is still current at scan-build time.
+// WriteSeq returns the number of heap mutations the table has seen.
 func (t *Table) WriteSeq() uint64 { return t.writeSeq.Load() }
 
 // Schema returns the table's schema.
@@ -489,7 +480,7 @@ func (t *Table) applyInsert(rowID int64, coerced value.Row) error {
 	if err != nil {
 		return err
 	}
-	t.noteWrite()
+	t.noteWrite(rowID, coerced)
 	t.stats.NoteInsert(coerced)
 	if rowID >= t.nextRow {
 		t.nextRow = rowID + 1
@@ -582,7 +573,7 @@ func (t *Table) Update(rowID int64, row value.Row) error {
 	if err != nil {
 		return err
 	}
-	t.noteWrite()
+	t.noteWrite(rowID, coerced)
 	t.stats.NoteUpdate(old, coerced)
 	t.rowIndex[rowID] = newRID
 	for col, tree := range t.indexes {
@@ -640,7 +631,7 @@ func (t *Table) Delete(rowID int64) error {
 	if err := t.file.Delete(rid); err != nil {
 		return err
 	}
-	t.noteWrite()
+	t.noteWrite(rowID, nil)
 	t.stats.NoteDelete(old)
 	delete(t.rowIndex, rowID)
 	for col, tree := range t.indexes {
@@ -1205,7 +1196,7 @@ func (t *Table) applyUpdate(rowID int64, coerced value.Row) error {
 	if err != nil {
 		return err
 	}
-	t.noteWrite()
+	t.noteWrite(rowID, coerced)
 	t.stats.NoteUpdate(old, coerced)
 	t.rowIndex[rowID] = newRID
 	for col, tree := range t.indexes {
@@ -1242,7 +1233,7 @@ func (t *Table) RecoverDelete(rowID int64) error {
 	if err := t.file.Delete(rid); err != nil {
 		return err
 	}
-	t.noteWrite()
+	t.noteWrite(rowID, nil)
 	t.stats.NoteDelete(old)
 	delete(t.rowIndex, rowID)
 	for col, tree := range t.indexes {

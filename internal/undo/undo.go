@@ -13,9 +13,10 @@
 // The log is purely in-memory: it reverts the live state of the process.
 // Crash atomicity is the write-ahead log's job — recovery undoes uncommitted
 // transactions from the before-images carried in the WAL records themselves
-// (see internal/core). Execution is serialized by the engine-wide statement
-// lock, so a Log is only ever touched by one statement at a time and needs
-// no locking of its own.
+// (see internal/core). A Log belongs to one write frame, and write frames
+// are serialized by the ScopeWAL latch (internal/storage/lock.go) that every
+// writer holds from arming its frame to closing it, so a Log is only ever
+// touched by one statement at a time and needs no locking of its own.
 package undo
 
 import "errors"
